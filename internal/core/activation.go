@@ -21,7 +21,16 @@ import (
 // silo. All application code for the actor runs on the activation's single
 // mailbox goroutine.
 type activation struct {
-	id    ID
+	id ID
+	// key is id.String(), computed once: the directory registration,
+	// state-store key, call-chain entry and observer label all use it.
+	key string
+	// selfChain is the read-only outgoing call chain of a turn with no
+	// caller chain ([key]), shared by every such turn.
+	selfChain []string
+	// tctx is the turn Context, reset for every turn: a Context is valid
+	// only during its turn, so one per activation suffices.
+	tctx  Context
 	silo  *Silo
 	cfg   *kindConfig
 	actor Actor
@@ -52,17 +61,20 @@ type activation struct {
 	drained chan struct{} // closed after full deactivation cleanup
 }
 
-func newActivation(id ID, silo *Silo, cfg *kindConfig, reg directory.Registration) *activation {
+func newActivation(id ID, key string, silo *Silo, cfg *kindConfig, reg directory.Registration) *activation {
 	a := &activation{
-		id:      id,
-		silo:    silo,
-		cfg:     cfg,
-		actor:   cfg.factory(),
-		box:     newMailbox(),
-		reg:     reg,
-		timers:  make(map[string]func()),
-		drained: make(chan struct{}),
+		id:        id,
+		key:       key,
+		selfChain: []string{key},
+		silo:      silo,
+		cfg:       cfg,
+		actor:     cfg.factory(),
+		box:       newMailbox(),
+		reg:       reg,
+		timers:    make(map[string]func()),
+		drained:   make(chan struct{}),
 	}
+	a.tctx = Context{rt: silo.rt, silo: silo, self: id, act: a}
 	a.lastBusy.Store(silo.rt.clk.Now().UnixNano())
 	return a
 }
@@ -111,7 +123,7 @@ func (a *activation) activate() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			a.silo.metrics.Counter("core.panics").Inc()
-			err = &PanicError{Actor: a.id.String(), Value: r, Stack: string(debug.Stack())}
+			err = &PanicError{Actor: a.key, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	cctx := a.context(context.Background(), nil)
@@ -148,7 +160,7 @@ func (a *activation) turn(env envelope) (panicked error) {
 	var turnStart time.Time
 	if tr.Enabled() {
 		turnStart = a.silo.rt.clk.Now()
-		if sp = tr.StartTurn(env.trace, a.id.String(), a.silo.name); sp != nil {
+		if sp = tr.StartTurn(env.trace, a.key, a.silo.name); sp != nil {
 			sp.Remote = env.remote
 			if !env.enqueuedAt.IsZero() {
 				sp.Mailbox = turnStart.Sub(env.enqueuedAt)
@@ -180,6 +192,10 @@ func (a *activation) turn(env envelope) (panicked error) {
 	cost := a.silo.rt.costOf(a.id, env.msg)
 	var turnErr error
 	var execDur time.Duration
+	// The reply is sent once, after the turn's span, kind stats and
+	// journal entry are recorded, so a traced call's trace is complete in
+	// this runtime's tracer by the time the call returns.
+	var res turnResult
 	err := a.silo.limiter.ExecuteTimed(ctx, cost, func() error {
 		cctx := a.context(ctx, env.chain)
 		var execStart time.Time
@@ -195,13 +211,12 @@ func (a *activation) turn(env envelope) (panicked error) {
 			panicked = perr
 			v = nil
 		}
-		if env.reply != nil {
-			env.reply <- turnResult{val: v, err: err}
-		}
+		res = turnResult{val: v, err: err}
 		return nil
 	}, tm)
 	if err != nil {
-		env.fail(err)
+		// The limiter gave up before the handler ran.
+		res = turnResult{err: err}
 		if turnErr == nil {
 			turnErr = err
 		}
@@ -216,7 +231,7 @@ func (a *activation) turn(env envelope) (panicked error) {
 	if profiling {
 		// CPU attribution: simulated burn (dominant on capacity-limited
 		// silos) plus real handler wall time (dominant without a limiter).
-		prof.ObserveTurn(a.id.String(), a.id.Kind, a.silo.name, tm.Burn+execDur, profDepth)
+		prof.ObserveTurn(a.key, a.id.Kind, a.silo.name, tm.Burn+execDur, profDepth)
 	}
 	if !turnStart.IsZero() {
 		turnDur := a.silo.rt.clk.Since(turnStart)
@@ -226,12 +241,17 @@ func (a *activation) turn(env envelope) (panicked error) {
 		if journaling {
 			corr := env.trace.TraceID
 			if panicked != nil {
-				jr.Record(journal.ActorPanic, a.id.String(), corr, "turn panicked")
+				jr.Record(journal.ActorPanic, a.key, corr, "turn panicked")
 			}
-			jr.ObserveTurn(a.id.String(), corr, turnDur)
+			if turnDur >= jr.SlowTurnThreshold() {
+				jr.ObserveTurn(a.key, corr, turnDur)
+			}
 		}
 	}
-	a.silo.metrics.Counter("core.turns").Inc()
+	if env.reply != nil {
+		env.reply <- res
+	}
+	a.silo.turns.Inc()
 	return panicked
 }
 
@@ -243,7 +263,7 @@ func (a *activation) invoke(cctx *Context, msg any) (v any, err error) {
 		if r := recover(); r != nil {
 			a.silo.metrics.Counter("core.panics").Inc()
 			v = nil
-			err = &PanicError{Actor: a.id.String(), Value: r, Stack: string(debug.Stack())}
+			err = &PanicError{Actor: a.key, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	if hook := a.silo.rt.cfg.BeforeTurn; hook != nil {
@@ -293,13 +313,17 @@ func (a *activation) teardownHooks() {
 	}
 }
 
+// context resets the activation's turn Context for a new turn (or an
+// activation/teardown hook). Only the mailbox goroutine calls it.
 func (a *activation) context(ctx context.Context, chain []string) *Context {
 	if a.cur != nil {
 		// Carry the turn's span in the context so the kvstore layer can
 		// attribute storage time without importing core.
 		ctx = telemetry.WithSpan(ctx, a.cur)
 	}
-	return &Context{Context: ctx, rt: a.silo.rt, silo: a.silo, self: a.id, act: a, chain: chain}
+	c := &a.tctx
+	c.Context, c.chain, c.out = ctx, chain, nil
+	return c
 }
 
 // loadState hydrates a Stateful actor from the state store, remembering
@@ -309,7 +333,7 @@ func (a *activation) loadState(ctx context.Context) error {
 	if !ok || a.silo.rt.states == nil {
 		return nil
 	}
-	data, ver, err := a.silo.rt.states.Load(ctx, a.id.String())
+	data, ver, err := a.silo.rt.states.Load(ctx, a.key)
 	if err != nil {
 		if isNotFound(err) {
 			// First activation ever: keep zero-value state, but adopt the
@@ -325,7 +349,7 @@ func (a *activation) loadState(ctx context.Context) error {
 	}
 	a.stateVersion = ver
 	if prof := a.silo.rt.profiler; prof.Enabled() {
-		prof.ObserveState(a.id.String(), a.id.Kind, len(data))
+		prof.ObserveState(a.key, a.id.Kind, len(data))
 	}
 	return nil
 }
@@ -358,7 +382,7 @@ func (a *activation) writeState(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	next, err := a.silo.rt.states.Store(ctx, a.id.String(), data, a.stateVersion)
+	next, err := a.silo.rt.states.Store(ctx, a.key, data, a.stateVersion)
 	if err != nil {
 		if errors.Is(err, kvstore.ErrVersionMismatch) {
 			a.silo.metrics.Counter("core.stale_writes_fenced").Inc()
@@ -370,7 +394,7 @@ func (a *activation) writeState(ctx context.Context) error {
 	a.stateVersion = next
 	a.silo.metrics.Counter("core.state_writes").Inc()
 	if prof := a.silo.rt.profiler; prof.Enabled() {
-		prof.ObserveState(a.id.String(), a.id.Kind, len(data))
+		prof.ObserveState(a.key, a.id.Kind, len(data))
 	}
 	return nil
 }

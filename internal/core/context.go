@@ -16,7 +16,11 @@ import (
 // surface: identity, messaging, persistence, timers, and reminders.
 //
 // A Context is only valid for the duration of the turn that received it;
-// actors must not retain it across turns.
+// actors must not retain it across turns, nor hand it to a goroutine
+// that outlives the turn: the runtime reuses one Context per activation
+// and resets it for every turn. The same holds for any ctx derived from
+// it (context.WithTimeout, WithValue), which reaches the Context through
+// its parent chain.
 type Context struct {
 	context.Context
 	rt    *Runtime
@@ -24,6 +28,7 @@ type Context struct {
 	self  ID
 	act   *activation
 	chain []string
+	out   []string // chain + self for outgoing calls, built on first use
 }
 
 // Self returns the identity of the actor processing this turn.
@@ -41,7 +46,7 @@ func (c *Context) Clock() clock.Clock { return c.rt.clk }
 // since a cycle would deadlock the single-threaded mailboxes involved.
 func (c *Context) Call(id ID, msg any) (any, error) {
 	trace, sp, start := c.childTrace()
-	v, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, true, trace)
+	v, err := c.rt.call(c.Context, c.silo.name, c.outChain(), id, msg, true, trace)
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}
@@ -51,7 +56,7 @@ func (c *Context) Call(id ID, msg any) (any, error) {
 // Tell sends a one-way message to another actor.
 func (c *Context) Tell(id ID, msg any) error {
 	trace, sp, start := c.childTrace()
-	_, err := c.rt.call(c.Context, c.silo.name, append(c.chainCopy(), c.self.String()), id, msg, false, trace)
+	_, err := c.rt.call(c.Context, c.silo.name, c.outChain(), id, msg, false, trace)
 	if sp != nil {
 		sp.AddNested(c.rt.clk.Since(start))
 	}
@@ -69,10 +74,18 @@ func (c *Context) childTrace() (telemetry.SpanContext, *telemetry.Span, time.Tim
 	return sp.ChildContext(), sp, c.rt.clk.Now()
 }
 
-func (c *Context) chainCopy() []string {
-	out := make([]string, len(c.chain), len(c.chain)+1)
-	copy(out, c.chain)
-	return out
+// outChain returns the call chain outgoing calls carry: this turn's
+// chain plus self. It is built at most once per turn and shared
+// read-only by every call the turn makes (len == cap, so an append by a
+// receiver copies instead of writing into it).
+func (c *Context) outChain() []string {
+	if len(c.chain) == 0 {
+		return c.act.selfChain
+	}
+	if c.out == nil {
+		c.out = append(append(make([]string, 0, len(c.chain)+1), c.chain...), c.act.key)
+	}
+	return c.out
 }
 
 // WriteState persists the actor's state now — the analog of Orleans'
@@ -115,7 +128,7 @@ func (c *Context) RegisterReminder(name string, period time.Duration) error {
 		return errors.New("core: reminders need a Store on the runtime")
 	}
 	return c.rt.reminders.RegisterReminder(c.Context, systemstore.Reminder{
-		Target: c.self.String(),
+		Target: c.act.key,
 		Name:   name,
 		Period: period,
 	})
@@ -126,7 +139,7 @@ func (c *Context) UnregisterReminder(name string) error {
 	if c.rt.reminders == nil {
 		return errors.New("core: reminders need a Store on the runtime")
 	}
-	return c.rt.reminders.UnregisterReminder(c.Context, c.self.String(), name)
+	return c.rt.reminders.UnregisterReminder(c.Context, c.act.key, name)
 }
 
 // DeactivateOnIdle requests prompt collection of this activation: it is
@@ -136,9 +149,11 @@ func (c *Context) DeactivateOnIdle() {
 	// Closing when empty now may lose the race with queued messages; the
 	// collector semantics are fine here because the mailbox close is
 	// attempted after the current turn by a goroutine watching emptiness.
+	// The goroutine outlives the turn, so it must not touch c itself.
+	box, clk := c.act.box, c.rt.clk
 	go func() {
-		for !c.act.box.closeIfEmpty() {
-			t := c.rt.clk.NewTimer(time.Millisecond)
+		for !box.closeIfEmpty() {
+			t := clk.NewTimer(time.Millisecond)
 			<-t.C()
 		}
 	}()

@@ -177,9 +177,7 @@ func waitForQueued(t *testing.T, rt *Runtime, id ID, n int) {
 		for _, s := range rt.silos {
 			s.mu.Lock()
 			if a, ok := s.catalog[id]; ok {
-				a.box.mu.Lock()
-				count = len(a.box.q)
-				a.box.mu.Unlock()
+				count = a.box.depth()
 			}
 			s.mu.Unlock()
 		}

@@ -33,15 +33,36 @@ type turnResult struct {
 	err error
 }
 
+// replyCells recycles the one-shot reply channels of request/response
+// deliveries. Every envelope that carries a cell is answered exactly
+// once (by its turn or by env.fail). deliver returns a cell to the pool
+// only after receiving that one reply; a caller whose ctx fires first
+// abandons its cell to the GC, so a late reply never lands in a cell
+// that a later call is waiting on.
+var replyCells = sync.Pool{New: func() any { return make(chan turnResult, 1) }}
+
+// putReplyCell returns an empty cell to the pool; nil (a one-way
+// delivery) is ignored.
+func putReplyCell(c chan turnResult) {
+	if c != nil {
+		replyCells.Put(c)
+	}
+}
+
 // mailbox is an unbounded FIFO queue with a cooperative close protocol.
 // It is unbounded on purpose: per-actor queues in Orleans are unbounded
 // too, and backpressure in this runtime comes from the silo's capacity
 // limiter. An unbounded queue is also what lets the latency-percentile
 // experiments exhibit honest queueing delay instead of tail-dropping.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []envelope
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring holds the queue: n envelopes starting at head, wrapping. It
+	// grows by doubling, so push and pop are O(1) however deep the
+	// backlog gets.
+	ring   []envelope
+	head   int
+	n      int
 	closed bool
 }
 
@@ -59,7 +80,11 @@ func (m *mailbox) push(env envelope) bool {
 	if m.closed {
 		return false
 	}
-	m.q = append(m.q, env)
+	if m.n == len(m.ring) {
+		m.grow()
+	}
+	m.ring[(m.head+m.n)%len(m.ring)] = env
+	m.n++
 	m.cond.Signal()
 	return true
 }
@@ -69,17 +94,26 @@ func (m *mailbox) push(env envelope) bool {
 func (m *mailbox) pop() (envelope, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.q) == 0 && !m.closed {
+	for m.n == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.q) == 0 {
+	if m.n == 0 {
 		return envelope{}, false
 	}
-	env := m.q[0]
-	// Shift instead of reslicing forever; the queue is typically tiny.
-	copy(m.q, m.q[1:])
-	m.q = m.q[:len(m.q)-1]
+	env := m.ring[m.head]
+	m.ring[m.head] = envelope{} // drop references for the GC
+	m.head = (m.head + 1) % len(m.ring)
+	m.n--
 	return env, true
+}
+
+// grow doubles the ring, unwrapping the queue to start at index 0.
+func (m *mailbox) grow() {
+	next := make([]envelope, max(1, 2*len(m.ring)))
+	for i := 0; i < m.n; i++ {
+		next[i] = m.ring[(m.head+i)%len(m.ring)]
+	}
+	m.ring, m.head = next, 0
 }
 
 // closeIfEmpty atomically closes the mailbox when it holds no messages,
@@ -91,7 +125,7 @@ func (m *mailbox) closeIfEmpty() bool {
 	if m.closed {
 		return true
 	}
-	if len(m.q) > 0 {
+	if m.n > 0 {
 		return false
 	}
 	m.closed = true
@@ -112,12 +146,12 @@ func (m *mailbox) close() {
 func (m *mailbox) depth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.q)
+	return m.n
 }
 
 // empty reports whether the queue is currently drained.
 func (m *mailbox) empty() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.q) == 0
+	return m.n == 0
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -464,18 +465,27 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 	if err := id.Validate(); err != nil {
 		return nil, err
 	}
+	if c, ok := ctx.(*Context); ok {
+		// An actor passed its turn Context as a plain ctx. Route with the
+		// ctx underneath: the Context is reset for the activation's next
+		// turn, while a queued envelope may outlive this one.
+		ctx = c.Context
+	}
 	rt.mu.RLock()
 	dead := rt.shutdown
+	cfg, ok := rt.kinds[id.Kind]
 	rt.mu.RUnlock()
 	if dead {
 		return nil, ErrShutdown
 	}
-	cfg, ok := rt.kind(id.Kind)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, id.Kind)
 	}
+	// The canonical string is computed once per call and serves the
+	// chain check, the directory lookup and placement.
+	key := id.String()
 	for _, hop := range chain {
-		if hop == id.String() {
+		if hop == key {
 			return nil, fmt.Errorf("%w: %v -> %s", ErrCallCycle, chain, id)
 		}
 	}
@@ -494,9 +504,9 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 	// parent turn's context in trace and never re-sample.
 	var root *telemetry.Span
 	if callerSilo == "" && !trace.Sampled && rt.tracer.Enabled() {
-		trace, root = rt.tracer.StartRoot(method + " " + id.String())
+		trace, root = rt.tracer.StartRoot(method + " " + key)
 	}
-	resp, retries, hops, err := rt.callLoop(ctx, callerSilo, chain, id, msg, strat, method, trace)
+	resp, retries, hops, err := rt.callLoop(ctx, callerSilo, chain, id, key, msg, strat, method, trace)
 	if root != nil {
 		root.Retries = int32(retries)
 		root.Hops = int32(hops)
@@ -508,7 +518,7 @@ func (rt *Runtime) call(ctx context.Context, callerSilo string, chain []string, 
 // callLoop is the self-healing delivery loop behind call, reporting how
 // many transparent retries and wrong-silo re-routes the delivery needed
 // so root spans can attribute them.
-func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext) (resp any, retries, hops int, err error) {
+func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []string, id ID, key string, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext) (resp any, retries, hops int, err error) {
 	// maxHops bounds the wrong-silo re-route loop: losing the activation
 	// race means the directory already names the winner, so re-routing is
 	// immediate (no backoff) but must not spin forever under pathological
@@ -526,7 +536,7 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 	var lastErr error
 	redirect := ""
 	for attempt := 1; ; {
-		resp, err := rt.routeOnce(ctx, callerSilo, chain, id, msg, strat, method, trace, redirect)
+		resp, err := rt.routeOnce(ctx, callerSilo, chain, id, key, msg, strat, method, trace, redirect)
 		redirect = ""
 		if err == nil {
 			return resp, retries, hops, nil
@@ -588,7 +598,7 @@ func (rt *Runtime) callLoop(ctx context.Context, callerSilo string, chain []stri
 // out to be unreachable, the stale registration is evicted so the next
 // attempt re-places the actor on a live silo — the heart of routing
 // around a crashed silo.
-func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []string, id ID, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext, redirect string) (any, error) {
+func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []string, id ID, key string, msg any, strat placement.Strategy, method string, trace telemetry.SpanContext, redirect string) (any, error) {
 	var target string
 	var reg directory.Registration
 	fromDirectory := false
@@ -596,7 +606,7 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 		// The previous hop named the actor's current home; trust it over
 		// the directory (which may hold the stale pre-migration route).
 		target = redirect
-	} else if r, ok := rt.directory.Lookup(id.String()); ok {
+	} else if r, ok := rt.directory.Lookup(key); ok {
 		target, reg, fromDirectory = r.Silo, r, true
 	} else {
 		view := rt.view()
@@ -604,7 +614,10 @@ func (rt *Runtime) routeOnce(ctx context.Context, callerSilo string, chain []str
 			return nil, ErrNoSilos
 		}
 		var err error
-		target, err = strat.Place(id.String(), callerSilo, view)
+		// A strategy may keep the string it is given, so it gets its own
+		// copy: key itself must not escape, which lets a short key live
+		// on call's stack.
+		target, err = strat.Place(strings.Clone(key), callerSilo, view)
 		if err != nil {
 			return nil, err
 		}

@@ -25,6 +25,7 @@ type Silo struct {
 	rt      *Runtime
 	limiter *capacity.Limiter // nil = unbounded
 	metrics *metrics.Registry
+	turns   *metrics.Counter // "core.turns", resolved once: bumped every turn
 
 	mu      sync.Mutex
 	catalog map[ID]*activation
@@ -46,6 +47,7 @@ func newSilo(name string, rt *Runtime, limiter *capacity.Limiter) *Silo {
 		rt:            rt,
 		limiter:       limiter,
 		metrics:       rt.metrics,
+		turns:         rt.metrics.Counter("core.turns"),
 		catalog:       make(map[ID]*activation),
 		collectorStop: make(chan struct{}),
 		collectorDone: make(chan struct{}),
@@ -92,10 +94,11 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	var reply chan turnResult
 	turnCtx := ctx
 	if needReply {
-		reply = make(chan turnResult, 1)
-	} else {
+		reply = replyCells.Get().(chan turnResult)
+	} else if ctx.Done() != nil {
 		// One-way deliveries are acknowledged at enqueue; the turn itself
-		// must not be cancelled when the sender moves on.
+		// must not be cancelled when the sender moves on. A ctx that can
+		// never be cancelled needs no wrapping.
 		turnCtx = context.WithoutCancel(ctx)
 	}
 	env := envelope{ctx: turnCtx, msg: msg, reply: reply, chain: chain, hlc: hlc}
@@ -111,6 +114,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	for {
 		act, err := s.resolve(ctx, id)
 		if err != nil {
+			putReplyCell(reply) // never queued: no reply can arrive
 			return nil, err
 		}
 		if act.box.push(env) {
@@ -121,6 +125,7 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 		select {
 		case <-act.drained:
 		case <-ctx.Done():
+			putReplyCell(reply)
 			return nil, ctx.Err()
 		}
 	}
@@ -129,8 +134,10 @@ func (s *Silo) deliver(ctx context.Context, id ID, msg any, needReply bool, chai
 	}
 	select {
 	case res := <-reply:
+		putReplyCell(reply)
 		return res.val, res.err
 	case <-ctx.Done():
+		// Abandon the cell: the queued turn still answers into it.
 		return nil, ctx.Err()
 	}
 }
@@ -162,13 +169,14 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 		}
 		s.mu.Unlock()
 
-		reg, err := s.rt.directory.Register(id.String(), s.name)
+		key := id.String()
+		reg, err := s.rt.directory.Register(key, s.name)
 		if err != nil {
 			if !errors.Is(err, directory.ErrAlreadyRegistered) {
 				return nil, err
 			}
 			if reg.Silo != s.name {
-				return nil, &wrongSiloError{Actor: id.String(), Winner: reg.Silo}
+				return nil, &wrongSiloError{Actor: key, Winner: reg.Silo}
 			}
 			// Registered to this silo but not in the catalog: a previous
 			// activation is mid-teardown. Yield and retry.
@@ -187,7 +195,7 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 			continue
 		}
 
-		act := newActivation(id, s, cfg, reg)
+		act := newActivation(id, key, s, cfg, reg)
 		s.mu.Lock()
 		if s.closing {
 			s.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"aodb/internal/core"
 	"aodb/internal/index"
@@ -39,24 +40,42 @@ func NewEngine(rt *core.Runtime) *Engine {
 // FanOut sends msg to every target and collects results in target order.
 // Individual actor failures are recorded per result, not returned as a
 // query failure, so one broken actor cannot hide the rest of the answer.
+//
+// min(Parallelism, len(targets)) workers — the calling goroutine is one
+// of them — claim target indices from a shared counter, so a wide fan-out
+// starts a few goroutines rather than one per target. Once ctx is done,
+// the remaining targets are answered with ctx's error without a call.
 func (e *Engine) FanOut(ctx context.Context, targets []core.ID, msg any) []Result {
 	results := make([]Result, len(targets))
-	par := e.Parallelism
-	if par < 1 {
-		par = 1
+	if len(targets) == 0 {
+		return results
 	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, id := range targets {
-		wg.Add(1)
-		go func(i int, id core.ID) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	workers := min(max(e.Parallelism, 1), len(targets))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(targets) {
+				return
+			}
+			id := targets[i]
+			if err := ctx.Err(); err != nil {
+				results[i] = Result{Actor: id, Err: err}
+				continue
+			}
 			v, err := e.rt.Call(ctx, id, msg)
 			results[i] = Result{Actor: id, Value: v, Err: err}
-		}(i, id)
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 	return results
 }
