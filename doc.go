@@ -8,9 +8,12 @@
 //     on-demand activation, single-threaded turns, idle collection,
 //     persistent state, timers, reminders)
 //   - internal/kvstore, internal/wal, internal/systemstore — the durable
-//     storage substrate (DynamoDB/RDS analogs)
-//   - internal/cluster, internal/directory, internal/placement,
-//     internal/transport, internal/netsim — the distribution substrate
+//     storage substrate (DynamoDB/RDS analogs; the RDS analog keeps
+//     reminders)
+//   - internal/cluster, internal/gossip, internal/directory,
+//     internal/placement, internal/transport, internal/netsim — the
+//     distribution substrate (cluster defines the membership view;
+//     gossip is the SWIM agent that provides it)
 //   - internal/txn, internal/index, internal/query, internal/streams —
 //     the database features layered on the actor runtime
 //   - internal/shm — the structural health monitoring data platform

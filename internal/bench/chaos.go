@@ -5,29 +5,44 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aodb/internal/cluster"
 	"aodb/internal/core"
 	"aodb/internal/faults"
 	"aodb/internal/kvstore"
+	"aodb/internal/metrics"
+	"aodb/internal/replication"
 	"aodb/internal/shm"
 	"aodb/internal/transport"
 )
 
-// ChaosConfig describes one chaos soak: sustained SHM load plus a stream
-// of acknowledged ledger writes, while silos crash and restart and the
-// fault injector drops/duplicates/delays messages, fails storage writes,
-// and panics actor turns. The run's invariant is that every acknowledged
-// write survives and every client-visible error is classified.
+// ChaosConfig describes one chaos soak: a stream of acknowledged ledger
+// writes, optionally under sustained SHM load, while silos crash and
+// restart and the fault injector drops/duplicates/delays messages, fails
+// storage writes, and panics actor turns. The run's invariant is that
+// every acknowledged write survives and every client-visible error is
+// classified.
+//
+// With N > 0 actor state is quorum-replicated across per-silo stores,
+// which adds a second fault axis: seeded storage wipes that destroy one
+// replica's entire disk. The soak then runs a strict quorum (every ring
+// member is a silo of the soak), so every write ack is a real home-set
+// ack and any two W>N/2 quorums intersect; sloppy-quorum stand-ins
+// (which trade that intersection for availability) are exercised by the
+// replication package's own tests, not by this invariant check. See
+// DESIGN.md, "Replication".
 type ChaosConfig struct {
 	// Silos in the cluster (default 3); one at a time is crashed and later
 	// restarted.
 	Silos int
+	// N, R, W configure replicated state: N = 0 keeps all state in one
+	// shared store; N >= 1 runs a quorum coordinator over per-silo
+	// replica stores (N capped at Silos; R and W default to majorities).
+	N, R, W int
 	// Ledgers is how many ledger actors the acked writes spread over
 	// (default 8); Clients is the number of concurrent writers (default 8).
 	Ledgers int
@@ -42,22 +57,47 @@ type ChaosConfig struct {
 	// (default CrashEvery/2).
 	CrashEvery   time.Duration
 	RestartAfter time.Duration
+	// WipeEvery (N >= 1 only) is how often the wipe loop consults the
+	// seeded WipeDecision for a random replica (default Duration/4). A
+	// wipe only proceeds when every silo is up and the previous wipe's
+	// restoration sweep has completed, so at most one replica is ever
+	// rebuilding — with W>=2 durable home acks, that leaves at least one
+	// intact copy of every acknowledged write at all times.
+	WipeEvery time.Duration
 	// OpTimeout bounds one client write attempt (default 2s).
 	OpTimeout time.Duration
 	// Faults configures the injector; its Seed defaults to Seed.
 	Faults faults.Config
 	Seed   int64
-	// StoreDir, when non-empty, backs the soak's grain store with disk;
-	// Durable additionally makes every acknowledged state write fsynced
-	// (WAL group commit), so the "no acked write lost" invariant is
-	// checked against real durability instead of a memory-only store.
+	// StoreDir, when non-empty, backs state with disk; with N >= 1 it is
+	// required: each silo's replica store lives in its own subdirectory
+	// (that is what a wipe destroys), and the coordinator's hint queue
+	// lives beside them (never wiped — it models the coordinator's own
+	// disk, not a replica's). Durable additionally makes every
+	// acknowledged state write fsynced (WAL group commit), so the "no
+	// acked write lost" invariant is checked against real durability
+	// instead of a memory-only store.
 	StoreDir string
 	Durable  bool
 }
 
-func (c *ChaosConfig) fill() {
+func (c *ChaosConfig) fill() error {
 	if c.Silos <= 0 {
 		c.Silos = 3
+	}
+	if c.N > 0 {
+		if c.StoreDir == "" {
+			return errors.New("bench: replicated soak needs StoreDir (wipes destroy real directories)")
+		}
+		if c.N > c.Silos {
+			c.N = c.Silos
+		}
+		if c.R <= 0 {
+			c.R = c.N/2 + 1
+		}
+		if c.W <= 0 {
+			c.W = c.N/2 + 1
+		}
 	}
 	if c.Ledgers <= 0 {
 		c.Ledgers = 8
@@ -74,6 +114,9 @@ func (c *ChaosConfig) fill() {
 	if c.RestartAfter <= 0 || c.RestartAfter >= c.CrashEvery {
 		c.RestartAfter = c.CrashEvery / 2
 	}
+	if c.WipeEvery <= 0 {
+		c.WipeEvery = c.Duration / 4
+	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 2 * time.Second
 	}
@@ -83,72 +126,24 @@ func (c *ChaosConfig) fill() {
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
 	}
+	return nil
 }
 
 // ChaosResult reports what a soak survived.
 type ChaosResult struct {
-	AckedWrites  int      // writes acknowledged to clients during chaos
-	LostWrites   []uint64 // acked seqs missing after healing — must be empty
-	Crashes      int
-	Restarts     int
-	RetriedOps   int64    // client ops that needed more than one attempt
-	Unclassified []string // errors outside the taxonomy — must be empty
+	SoakResult
+	Crashes  int
+	Restarts int
+	Wipes    int // replicas whose storage was destroyed and rebuilt
 	InjectedDrops, InjectedDups, InjectedDelays,
 	InjectedKVErrs, InjectedPanics uint64
-	CallRetries   int64 // runtime-internal transparent retries
-	SHMCompleted  int64
-	SHMErrors     int64
-	BreakerTrips  bool // informational: did any circuit open
-	VerifyElapsed time.Duration
-}
-
-// ledger messages. The ledger is a write-through idempotent seq-set: a
-// put is acknowledged only after its state write is durable, and
-// re-sending an acked seq is a no-op — which is what makes at-least-once
-// retries safe to ack exactly once.
-type ledgerPut struct{ Seq uint64 }
-type ledgerSeqs struct{}
-
-type ledgerState struct {
-	Seqs map[string]bool
-}
-
-type ledgerActor struct{ state ledgerState }
-
-func (l *ledgerActor) State() any { return &l.state }
-
-func (l *ledgerActor) Receive(ctx *core.Context, msg any) (any, error) {
-	switch m := msg.(type) {
-	case ledgerPut:
-		if l.state.Seqs == nil {
-			l.state.Seqs = make(map[string]bool)
-		}
-		key := strconv.FormatUint(m.Seq, 10)
-		if l.state.Seqs[key] {
-			return true, nil // duplicate of an acked write
-		}
-		l.state.Seqs[key] = true
-		if err := ctx.WriteState(); err != nil {
-			// Not durable: roll back so a later duplicate isn't acked for
-			// free, and report the failure instead of an ack.
-			delete(l.state.Seqs, key)
-			return nil, err
-		}
-		return true, nil
-	case ledgerSeqs:
-		out := make([]uint64, 0, len(l.state.Seqs))
-		for k := range l.state.Seqs {
-			n, err := strconv.ParseUint(k, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, n)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, nil
-	default:
-		return nil, fmt.Errorf("ledger: unknown message %T", msg)
-	}
+	CallRetries  int64 // runtime-internal transparent retries
+	SHMCompleted int64
+	SHMErrors    int64
+	// Replication counters (zero when N = 0).
+	HintsRecorded, HintsReplayed uint64
+	ReadRepairs, DivergentKeys   uint64
+	BreakerTrips                 bool // informational: did any circuit open
 }
 
 // chaosView tracks which silos the harness believes are up; the crash
@@ -165,6 +160,23 @@ func (v *chaosView) set(name string, alive bool) {
 	v.mu.Unlock()
 }
 
+func (v *chaosView) isUp(name string) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.up[name]
+}
+
+func (v *chaosView) allUp() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, alive := range v.up {
+		if !alive {
+			return false
+		}
+	}
+	return true
+}
+
 func (v *chaosView) View() []string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -178,15 +190,21 @@ func (v *chaosView) View() []string {
 	return names
 }
 
-// classified reports whether err is inside the soak's error taxonomy:
-// transient runtime failures (retried), recovered actor panics, injected
-// storage errors, and the client's own attempt deadline.
-func classified(err error) bool {
-	return core.Transient(err) ||
-		errors.Is(err, core.ErrActorPanic) ||
-		errors.Is(err, faults.ErrInjectedKVWrite) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled)
+// replica is one silo's wipeable storage: the harness swaps the whole
+// stack (kvstore, table, replica store) when the disk is wiped.
+type replica struct {
+	name string
+	dir  string
+
+	mu     sync.Mutex
+	store  *kvstore.Store
+	rstore *replication.Store
+}
+
+func (r *replica) close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.store.Close()
 }
 
 // RunChaos executes one chaos soak and audits the aftermath. The error
@@ -194,19 +212,19 @@ func classified(err error) bool {
 // pass/fail verdict for the run itself is in the result: LostWrites and
 // Unclassified must come back empty.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
-	cfg.fill()
 	var res ChaosResult
-
-	store, err := kvstore.Open(kvstore.Options{Dir: cfg.StoreDir, Durable: cfg.Durable})
-	if err != nil {
+	if err := cfg.fill(); err != nil {
 		return res, err
 	}
-	defer store.Close()
+	reg := metrics.NewRegistry()
 	inj := faults.New(cfg.Faults)
 	// Setup (silo creation, population) runs fault-free; the injector is
 	// enabled only for the chaos window itself.
 	inj.SetEnabled(false)
-	store.SetWriteFault(inj.KVWriteFault())
+	siloNames := make([]string, cfg.Silos)
+	for i := range siloNames {
+		siloNames[i] = fmt.Sprintf("silo-%d", i+1)
+	}
 
 	// Transport stack, innermost out: in-process delivery, then message
 	// faults, then per-silo circuit breakers.
@@ -214,17 +232,97 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 	breaker := transport.NewBreaker(inj.WrapTransport(local), transport.BreakerOptions{})
 	view := &chaosView{up: make(map[string]bool)}
 	panicHook := inj.PanicHook()
-
-	rt, err := core.New(core.Config{
+	rtCfg := core.Config{
 		Transport: breaker,
-		Store:     store,
 		View:      cluster.NewFilteredView(view, breaker.Open),
 		// Hold activations hot; chaos churn comes from crashes, not the
 		// idle collector.
 		IdleAfter:    time.Hour,
 		CollectEvery: time.Hour,
 		BeforeTurn:   func(id core.ID, msg any) { panicHook(id.String()) },
-	})
+		Metrics:      reg,
+	}
+
+	var (
+		store    *kvstore.Store
+		svc      *replication.Service
+		coord    *replication.Coordinator
+		replicas []*replica
+		reopen   func(r *replica, rebuilding bool) error
+	)
+	if cfg.N == 0 {
+		var err error
+		if store, err = kvstore.Open(kvstore.Options{Dir: cfg.StoreDir, Durable: cfg.Durable}); err != nil {
+			return res, err
+		}
+		defer store.Close()
+		store.SetWriteFault(inj.KVWriteFault())
+		rtCfg.Store = store
+	} else {
+		ring, err := replication.NewRing(siloNames)
+		if err != nil {
+			return res, err
+		}
+		// Per-silo replica stores, each on its own wipeable directory,
+		// all hosted behind one service so replication RPCs ride the same
+		// breaker(faults(local)) stack as actor traffic: a crashed silo's
+		// replica is unreachable exactly while the silo is down.
+		svc = replication.NewService()
+		reopen = func(r *replica, rebuilding bool) error {
+			st, err := kvstore.Open(kvstore.Options{Dir: r.dir, Durable: cfg.Durable})
+			if err != nil {
+				return err
+			}
+			st.SetWriteFault(inj.KVWriteFault())
+			tab, err := st.EnsureTable("grains", kvstore.Throughput{})
+			if err != nil {
+				st.Close()
+				return err
+			}
+			rstore, err := replication.NewStore(replication.StoreConfig{
+				Silo: r.name, Table: tab, Ring: ring, N: cfg.N, Metrics: reg,
+			})
+			if err != nil {
+				st.Close()
+				return err
+			}
+			// A store reopened over a wiped directory must not answer
+			// reads until restoration declares it caught up: its "not
+			// found"s would count as read-quorum answers and can defeat
+			// quorum intersection.
+			rstore.SetRebuilding(rebuilding)
+			r.mu.Lock()
+			r.store, r.rstore = st, rstore
+			r.mu.Unlock()
+			svc.Host(r.name, rstore)
+			return nil
+		}
+		for _, name := range siloNames {
+			r := &replica{name: name, dir: filepath.Join(cfg.StoreDir, name)}
+			if err := reopen(r, false); err != nil {
+				return res, err
+			}
+			defer r.close()
+			replicas = append(replicas, r)
+		}
+		coord, err = replication.NewCoordinator(replication.Config{
+			Ring:      ring,
+			N:         cfg.N,
+			R:         cfg.R,
+			W:         cfg.W,
+			Transport: breaker,
+			Alive:     view.isUp,
+			HintDir:   filepath.Join(cfg.StoreDir, "hints"),
+			Metrics:   reg,
+		})
+		if err != nil {
+			return res, err
+		}
+		defer coord.Close(context.Background())
+		rtCfg.States = coord
+	}
+
+	rt, err := core.New(rtCfg)
 	if err != nil {
 		return res, err
 	}
@@ -233,55 +331,42 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 		defer cancel()
 		_ = rt.Shutdown(shCtx)
 	}()
-	if err := rt.RegisterKind("Ledger", func() core.Actor { return &ledgerActor{} },
-		core.WithPersistence(core.PersistExplicit)); err != nil {
-		return res, err
-	}
-	siloNames := make([]string, cfg.Silos)
-	for i := range siloNames {
-		siloNames[i] = fmt.Sprintf("silo-%d", i+1)
-		if _, err := rt.AddSilo(siloNames[i], nil); err != nil {
+	if svc != nil {
+		if err := rt.RegisterService(replication.TargetKind, svc.Handle); err != nil {
 			return res, err
 		}
-		view.set(siloNames[i], true)
+	}
+	if err := registerLedger(rt); err != nil {
+		return res, err
+	}
+	for _, name := range siloNames {
+		if _, err := rt.AddSilo(name, nil); err != nil {
+			return res, err
+		}
+		view.set(name, true)
 	}
 
 	// Background 98/1/1 SHM load, errors tolerated but counted.
 	rec := NewRecorder()
-	var shmDone chan struct{}
+	var shmDone <-chan struct{}
 	if cfg.Sensors > 0 {
 		platform, err := shm.NewPlatform(rt, shm.Options{})
 		if err != nil {
 			return res, err
 		}
-		pop := shm.DefaultPopulation(cfg.Sensors)
-		keys, err := platform.Populate(ctx, pop)
-		if err != nil {
+		if shmDone, err = driveSHM(ctx, platform, cfg.Sensors, cfg.Duration, cfg.OpTimeout, cfg.Seed, rec); err != nil {
 			return res, err
 		}
-		shmDone = make(chan struct{})
-		go func() {
-			defer close(shmDone)
-			_ = Drive(ctx, platform, LoadSpec{
-				SensorKeys:     keys,
-				Orgs:           pop.Orgs(),
-				UserQueries:    true,
-				RequestEvery:   time.Second,
-				Warmup:         time.Millisecond, // measure ~everything
-				Duration:       cfg.Duration,
-				RequestTimeout: cfg.OpTimeout,
-				Seed:           cfg.Seed,
-			}, rec)
-		}()
 	}
 
 	// Chaos window opens: faults fire from here until the audit.
 	inj.SetEnabled(true)
-
-	// Crash loop: one victim at a time, killed abruptly and restarted
-	// after an outage window.
 	chaosCtx, stopChaos := context.WithTimeout(ctx, cfg.Duration)
 	defer stopChaos()
+
+	// Crash loop: one victim at a time, killed abruptly and restarted
+	// after an outage window. A replica's disk survives a crash — only a
+	// wipe destroys it.
 	crashDone := make(chan struct{})
 	go func() {
 		defer close(crashDone)
@@ -312,62 +397,91 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}()
 
-	// Clients: each write is retried until acknowledged or its per-op
-	// patience runs out; only acknowledged writes join the audit set.
-	var (
-		seqCtr     atomic.Uint64
-		retriedOps atomic.Int64
-		ackedMu    sync.Mutex
-		acked      []uint64
-		unclassMu  sync.Mutex
-		unclass    []string
-	)
-	var clients sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
+	// Wipe loop: seeded total storage loss on one replica at a time. A
+	// wipe closes the store, destroys the directory contents, reopens an
+	// empty store, hot-swaps it into the service, then runs restoration
+	// sweeps until a full pass finds nothing divergent — only then is the
+	// next wipe eligible. In-flight replica RPCs during the swap fail
+	// with kvstore.ErrClosed and count as ordinary replica failures
+	// (hinted, retried); they never reach a client unclassified.
+	wipeDone := make(chan struct{})
+	go func() {
+		defer close(wipeDone)
+		if coord == nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		ticker := time.NewTicker(cfg.WipeEvery)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-chaosCtx.Done():
+				return
+			case <-ticker.C:
+			}
+			if !view.allUp() {
+				continue // never overlap a wipe with a crash outage
+			}
+			victim := replicas[rng.Intn(len(replicas))]
+			if !inj.WipeDecision(victim.name) {
+				continue
+			}
+			victim.mu.Lock()
+			_ = victim.store.Close()
+			err := faults.StorageWipe(victim.dir)
+			victim.mu.Unlock()
+			if err != nil {
+				return // harness failure; audit will surface missing data
+			}
+			if err := reopen(victim, true); err != nil {
+				return
+			}
+			res.Wipes++
+			// Restoration: anti-entropy rebuilds the wiped replica from
+			// its peers. Sweep until one full pass over the victim's
+			// pairs is clean (or chaos ends first — the healing audit
+			// finishes the job then), then release the read gate.
 			for chaosCtx.Err() == nil {
-				seq := seqCtr.Add(1)
-				id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", seq%uint64(cfg.Ledgers))}
-				attempts := 0
-				for chaosCtx.Err() == nil {
-					attempts++
-					opCtx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
-					_, err := rt.Call(opCtx, id, ledgerPut{Seq: seq})
-					cancel()
-					if err == nil {
-						ackedMu.Lock()
-						acked = append(acked, seq)
-						ackedMu.Unlock()
-						break
-					}
-					if !classified(err) {
-						unclassMu.Lock()
-						if len(unclass) < 16 {
-							unclass = append(unclass, err.Error())
-						}
-						unclassMu.Unlock()
-						break
-					}
-				}
-				if attempts > 1 {
-					retriedOps.Add(1)
+				sctx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
+				n, serr := coord.SweepOnce(sctx, victim.name, 64)
+				cancel()
+				if serr == nil && n == 0 && view.allUp() {
+					victim.mu.Lock()
+					victim.rstore.SetRebuilding(false)
+					victim.mu.Unlock()
+					break
 				}
 			}
-		}()
-	}
-	clients.Wait()
+		}
+	}()
+
+	// Clients: each write is retried until acknowledged or the chaos
+	// window closes; only acknowledged writes join the audit set.
+	load := &ledgerLoad{rt: rt, ledgers: cfg.Ledgers, opTimeout: cfg.OpTimeout}
+	load.start(chaosCtx, cfg.Clients)()
 	<-crashDone
+	<-wipeDone
 	if shmDone != nil {
 		<-shmDone
 	}
 
-	// Heal: stop injecting, bring every silo back, then audit that each
+	// Heal: stop injecting, bring every silo back, drain the hint queue
+	// and sweep replicas to convergence, then audit that each
 	// acknowledged write survived somewhere durable.
-	verifyStart := time.Now()
+	healStart := time.Now()
 	inj.SetEnabled(false)
-	store.SetWriteFault(nil)
+	if store != nil {
+		store.SetWriteFault(nil)
+	}
+	for _, r := range replicas {
+		r.mu.Lock()
+		r.store.SetWriteFault(nil)
+		// Chaos may have ended mid-restoration; with every silo up and
+		// faults off, the healing sweeps below converge fully, so read
+		// gates can lift now.
+		r.rstore.SetRebuilding(false)
+		r.mu.Unlock()
+	}
 	for _, name := range siloNames {
 		if _, ok := rt.Silo(name); !ok {
 			if _, err := rt.AddSilo(name, nil); err != nil {
@@ -377,67 +491,79 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 		}
 		view.set(name, true)
 	}
-	survived := make(map[uint64]bool)
-	for l := 0; l < cfg.Ledgers; l++ {
-		id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", l)}
-		var seqs []uint64
-		deadline := time.Now().Add(30 * time.Second)
-		// Fence before reading: ledgerSeqs is a pure read, and reads are
-		// not version-checked, so a zombie activation (created before the
-		// last failover and never written through since) would answer from
-		// stale memory and misreport durable writes as lost. One write
-		// forces the version-conditional state put: a zombie fails the
-		// condition, self-deactivates, and the retried call reaches an
-		// activation hydrated from the store. The fence seq extends the
-		// client sequence, so it never collides with an audited write.
-		fence := seqCtr.Add(1)
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			_, err := rt.Call(opCtx, id, ledgerPut{Seq: fence})
-			cancel()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: ledger %s unwritable after healing: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			v, err := rt.Call(opCtx, id, ledgerSeqs{})
-			cancel()
-			if err == nil {
-				seqs = v.([]uint64)
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: ledger %s unreadable after healing: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for _, s := range seqs {
-			survived[s] = true
+	if coord != nil {
+		if err := converge(ctx, coord, cfg.OpTimeout, healStart.Add(30*time.Second)); err != nil {
+			return res, err
 		}
 	}
-	for _, s := range acked {
-		if !survived[s] {
-			res.LostWrites = append(res.LostWrites, s)
-		}
+	if res.SoakResult, err = load.audit(ctx, healStart); err != nil {
+		return res, err
 	}
 
-	res.AckedWrites = len(acked)
-	res.RetriedOps = retriedOps.Load()
-	res.Unclassified = unclass
 	res.InjectedDrops = inj.Fired("drop")
 	res.InjectedDups = inj.Fired("dup")
 	res.InjectedDelays = inj.Fired("delay")
 	res.InjectedKVErrs = inj.Fired("kvwrite")
 	res.InjectedPanics = inj.Fired("panic")
-	res.CallRetries = rt.Metrics().Counter("core.call_retries").Value()
+	res.CallRetries = reg.Counter("core.call_retries").Value()
 	res.SHMCompleted = rec.Completed(ReqInsert) + rec.Completed(ReqLive) + rec.Completed(ReqRaw)
 	res.SHMErrors = rec.Errors()
+	res.HintsRecorded = uint64(reg.Counter("replication.hints.recorded").Value())
+	res.HintsReplayed = uint64(reg.Counter("replication.hints.replayed").Value())
+	res.ReadRepairs = uint64(reg.Counter("replication.readrepair.count").Value())
+	res.DivergentKeys = uint64(reg.Counter("replication.antientropy.divergent_keys").Value())
 	res.BreakerTrips = breaker.Trips() > 0
-	res.VerifyElapsed = time.Since(verifyStart)
 	return res, nil
+}
+
+// converge replays every pending hint, then sweeps anti-entropy until a
+// full pass finds nothing divergent.
+func converge(ctx context.Context, coord *replication.Coordinator, opTimeout time.Duration, deadline time.Time) error {
+	for {
+		_, remaining := coord.ReplayHints(ctx)
+		if remaining == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("bench: %d hints still pending after healing", remaining)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for {
+		sctx, cancel := context.WithTimeout(ctx, opTimeout)
+		n, serr := coord.SweepOnce(sctx, "", 64)
+		cancel()
+		if serr == nil && n == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("bench: anti-entropy not converged after healing (divergent=%d, err=%v)", n, serr)
+		}
+	}
+}
+
+// driveSHM populates sensors on platform and drives the 98/1/1 mix into
+// rec for duration or until ctx ends; the returned channel closes when
+// the driver stops.
+func driveSHM(ctx context.Context, platform *shm.Platform, sensors int, duration, timeout time.Duration, seed int64, rec *Recorder) (<-chan struct{}, error) {
+	pop := shm.DefaultPopulation(sensors)
+	keys, err := platform.Populate(ctx, pop)
+	if err != nil {
+		return nil, err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = Drive(ctx, platform, LoadSpec{
+			SensorKeys:     keys,
+			Orgs:           pop.Orgs(),
+			UserQueries:    true,
+			RequestEvery:   time.Second,
+			Warmup:         time.Millisecond, // measure ~everything
+			Duration:       duration,
+			RequestTimeout: timeout,
+			Seed:           seed,
+		}, rec)
+	}()
+	return done, nil
 }

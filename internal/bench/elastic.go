@@ -2,38 +2,14 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"aodb/internal/codec"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
-	"aodb/internal/replication"
 	"aodb/internal/shm"
 	"aodb/internal/siloboot"
 )
-
-// classifiedElastic is the growth run's error taxonomy: everything the
-// replicated soak tolerates, plus a joiner's replica store answering
-// before its rebuilding gate has cleared (its first clean anti-entropy
-// sweep lifts it — retry).
-func classifiedElastic(err error) bool {
-	return classifiedRepl(err) || errors.Is(err, replication.ErrRebuilding)
-}
-
-func init() {
-	// The elastic harness runs over real TCP, so the ledger workload's
-	// messages (in-process only under the chaos soaks) must be wire-
-	// registered here.
-	codec.Register(ledgerPut{})
-	codec.Register(ledgerSeqs{})
-	codec.Register(ledgerState{})
-	codec.Register([]uint64(nil))
-}
 
 // ElasticConfig describes an elastic scale-out run: a gossip cluster
 // that starts small and grows one silo at a time while write-through
@@ -116,10 +92,7 @@ type PhaseStat struct {
 // all, whether it lost anything: LostWrites and Unclassified must be
 // empty.
 type ElasticResult struct {
-	AckedWrites  int
-	LostWrites   []uint64
-	RetriedOps   int64
-	Unclassified []string
+	SoakResult
 
 	Joins  []JoinStat
 	Phases []PhaseStat
@@ -130,13 +103,6 @@ type ElasticResult struct {
 	FencedWrites                                  int64
 
 	SHMOk, SHMErrors int64
-	VerifyElapsed    time.Duration
-}
-
-// elasticNode is one booted silo (or the observer load client).
-type elasticNode struct {
-	*siloboot.Node
-	platform *shm.Platform
 }
 
 // RunElastic grows a live gossip cluster from StartSilos to EndSilos
@@ -163,18 +129,14 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 		initial += names[i]
 	}
 
-	var nodes []*elasticNode
+	var nodes []*siloboot.Node
 	defer func() {
 		for i := len(nodes) - 1; i >= 0; i-- {
-			shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			_ = nodes[i].Runtime.Shutdown(shCtx)
-			_ = nodes[i].Drain(shCtx)
-			_ = nodes[i].TCP.Close()
-			cancel()
+			stopNode(nodes[i])
 		}
 	}()
 
-	start := func(name, silos, seeds string) (*elasticNode, error) {
+	start := func(name, silos, seeds string) (*siloboot.Node, error) {
 		kv, err := kvstore.Open(kvstore.Options{})
 		if err != nil {
 			return nil, err
@@ -195,13 +157,12 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 			kv.Close()
 			return nil, err
 		}
-		en := &elasticNode{Node: node}
-		if err := node.Runtime.RegisterKind("Ledger", func() core.Actor { return &ledgerActor{} },
-			core.WithPersistence(core.PersistExplicit)); err != nil {
+		if err := registerLedger(node.Runtime); err != nil {
 			return nil, err
 		}
 		if cfg.Sensors > 0 {
-			if en.platform, err = shm.NewPlatform(node.Runtime, shm.Options{Persist: core.PersistOnDeactivate}); err != nil {
+			// Registers the SHM actor kinds so this silo can host them.
+			if _, err := shm.NewPlatform(node.Runtime, shm.Options{Persist: core.PersistOnDeactivate}); err != nil {
 				return nil, err
 			}
 		}
@@ -211,8 +172,8 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 		if err := node.JoinCluster(); err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, en)
-		return en, nil
+		nodes = append(nodes, node)
+		return node, nil
 	}
 
 	first, err := start(names[0], initial, "")
@@ -240,15 +201,8 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 	if err != nil {
 		return res, err
 	}
-	defer func() {
-		shCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		_ = client.Runtime.Shutdown(shCtx)
-		_ = client.Drain(shCtx)
-		_ = client.TCP.Close()
-		cancel()
-	}()
-	if err := client.Runtime.RegisterKind("Ledger", func() core.Actor { return &ledgerActor{} },
-		core.WithPersistence(core.PersistExplicit)); err != nil {
+	defer stopNode(client)
+	if err := registerLedger(client.Runtime); err != nil {
 		return res, err
 	}
 	var platform *shm.Platform
@@ -262,106 +216,39 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 	}
 
 	// Wait out the replica stores' rebuilding gates: the cluster serves
-	// once a probe write round-trips.
-	probeDeadline := time.Now().Add(30 * time.Second)
-	for {
-		opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-		_, err := client.Runtime.Call(opCtx, core.ID{Kind: "Ledger", Key: "probe"}, ledgerSeqs{})
-		cancel()
-		if err == nil {
-			break
-		}
-		if time.Now().After(probeDeadline) {
-			return res, fmt.Errorf("bench: cluster never became ready: %w", err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	// once a probe read round-trips.
+	load := &ledgerLoad{rt: client.Runtime, ledgers: cfg.Ledgers, opTimeout: cfg.OpTimeout}
+	probe := core.ID{Kind: "Ledger", Key: "probe"}
+	if _, err := load.callUntil(ctx, probe, ledgerSeqs{}, time.Now().Add(30*time.Second)); err != nil {
+		return res, fmt.Errorf("bench: cluster never became ready: %w", err)
 	}
 
 	// Optional SHM mix on top, driven for the whole growth window.
 	loadCtx, stopLoad := context.WithCancel(ctx)
 	defer stopLoad()
 	rec := NewRecorder()
-	var shmDone chan struct{}
-	if cfg.Sensors > 0 {
-		pop := shm.DefaultPopulation(cfg.Sensors)
-		keys, err := platform.Populate(ctx, pop)
-		if err != nil {
+	var shmDone <-chan struct{}
+	if platform != nil {
+		total := cfg.JoinEvery*time.Duration(cfg.EndSilos-cfg.StartSilos) + cfg.Settle
+		// stopLoad ends the drive; its own duration only bounds it.
+		if shmDone, err = driveSHM(loadCtx, platform, cfg.Sensors, total+30*time.Second, cfg.OpTimeout, cfg.Seed, rec); err != nil {
 			return res, err
 		}
-		total := cfg.JoinEvery*time.Duration(cfg.EndSilos-cfg.StartSilos) + cfg.Settle
-		shmDone = make(chan struct{})
-		go func() {
-			defer close(shmDone)
-			_ = Drive(loadCtx, platform, LoadSpec{
-				SensorKeys:     keys,
-				Orgs:           pop.Orgs(),
-				UserQueries:    true,
-				RequestEvery:   time.Second,
-				Warmup:         time.Millisecond,
-				Duration:       total + 30*time.Second, // stopLoad ends it
-				RequestTimeout: cfg.OpTimeout,
-				Seed:           cfg.Seed,
-			}, rec)
-		}()
 	}
 
 	// Ledger clients: unthrottled write-through load, the audit set.
-	var (
-		seqCtr     atomic.Uint64
-		ackedCount atomic.Int64
-		retriedOps atomic.Int64
-		ackedMu    sync.Mutex
-		acked      []uint64
-		unclassMu  sync.Mutex
-		unclass    []string
-	)
-	var clients sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		clients.Add(1)
-		go func() {
-			defer clients.Done()
-			for loadCtx.Err() == nil {
-				seq := seqCtr.Add(1)
-				id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", seq%uint64(cfg.Ledgers))}
-				attempts := 0
-				for loadCtx.Err() == nil {
-					attempts++
-					opCtx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
-					_, err := client.Runtime.Call(opCtx, id, ledgerPut{Seq: seq})
-					cancel()
-					if err == nil {
-						ackedMu.Lock()
-						acked = append(acked, seq)
-						ackedMu.Unlock()
-						ackedCount.Add(1)
-						break
-					}
-					if !classifiedElastic(err) {
-						unclassMu.Lock()
-						if len(unclass) < 16 {
-							unclass = append(unclass, err.Error())
-						}
-						unclassMu.Unlock()
-						break
-					}
-				}
-				if attempts > 1 {
-					retriedOps.Add(int64(attempts - 1))
-				}
-			}
-		}()
-	}
+	waitClients := load.start(loadCtx, cfg.Clients)
 
 	// Growth loop: one join per phase, each phase a throughput sample.
 	phaseStart := time.Now()
-	phaseAcked := ackedCount.Load()
+	phaseAcked := load.nAcked.Load()
 	endPhase := func(silos int) {
 		d := time.Since(phaseStart)
-		a := ackedCount.Load() - phaseAcked
+		a := load.nAcked.Load() - phaseAcked
 		res.Phases = append(res.Phases, PhaseStat{
 			Silos: silos, Acked: a, Rate: float64(a) / d.Seconds(), Duration: d,
 		})
-		phaseStart, phaseAcked = time.Now(), ackedCount.Load()
+		phaseStart, phaseAcked = time.Now(), load.nAcked.Load()
 	}
 	for n := cfg.StartSilos + 1; n <= cfg.EndSilos; n++ {
 		select {
@@ -379,8 +266,8 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 		deadline := time.Now().Add(30 * time.Second)
 		for {
 			all := true
-			for _, en := range nodes {
-				if len(en.Gossip.View()) != n {
+			for _, node := range nodes {
+				if len(node.Gossip.View()) != n {
 					all = false
 					break
 				}
@@ -403,68 +290,22 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 	endPhase(cfg.EndSilos)
 
 	stopLoad()
-	clients.Wait()
+	waitClients()
 	if shmDone != nil {
 		<-shmDone
 	}
-	res.RetriedOps = retriedOps.Load()
-	res.Unclassified = unclass
-	res.AckedWrites = len(acked)
 	res.SHMOk = rec.Completed(ReqInsert) + rec.Completed(ReqLive) + rec.Completed(ReqRaw)
 	res.SHMErrors = rec.Errors()
 
 	// Audit: read every ledger back through the client and check each
-	// acked sequence survived the growth. A fencing write first — a
-	// zombie activation answering the pure read from stale memory would
-	// misreport durable writes as lost (see RunChaos for the full
-	// argument).
-	verifyStart := time.Now()
-	survived := make(map[uint64]bool)
-	for l := 0; l < cfg.Ledgers; l++ {
-		id := core.ID{Kind: "Ledger", Key: fmt.Sprintf("L%d", l)}
-		fence := seqCtr.Add(1)
-		var seqs []uint64
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			_, err := client.Runtime.Call(opCtx, id, ledgerPut{Seq: fence})
-			cancel()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: fencing %s for audit: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for {
-			opCtx, cancel := context.WithTimeout(ctx, cfg.OpTimeout)
-			v, err := client.Runtime.Call(opCtx, id, ledgerSeqs{})
-			cancel()
-			if err == nil {
-				seqs = v.([]uint64)
-				break
-			}
-			if time.Now().After(deadline) {
-				return res, fmt.Errorf("bench: auditing %s: %w", id, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		for _, s := range seqs {
-			survived[s] = true
-		}
+	// acked sequence survived the growth.
+	if res.SoakResult, err = load.audit(ctx, time.Now()); err != nil {
+		return res, err
 	}
-	for _, seq := range acked {
-		if !survived[seq] {
-			res.LostWrites = append(res.LostWrites, seq)
-		}
-	}
-	sort.Slice(res.LostWrites, func(i, j int) bool { return res.LostWrites[i] < res.LostWrites[j] })
-	res.VerifyElapsed = time.Since(verifyStart)
 
 	// Cluster-wide counters: summed over every silo's own registry.
-	for _, en := range nodes {
-		c := en.Registry.Counters()
+	for _, node := range nodes {
+		c := node.Registry.Counters()
 		res.MigrationsOut += c["core.migrations.out"]
 		res.MigrationsIn += c["core.migrations.in"]
 		res.MigrationsForced += c["core.migrations.forced"]
@@ -475,13 +316,12 @@ func RunElastic(ctx context.Context, cfg ElasticConfig) (ElasticResult, error) {
 	return res, nil
 }
 
-// Failed reports whether the run violated its invariants.
-func (r ElasticResult) Failed() error {
-	if len(r.LostWrites) > 0 {
-		return fmt.Errorf("bench: %d acked writes lost: %v", len(r.LostWrites), r.LostWrites)
-	}
-	if len(r.Unclassified) > 0 {
-		return fmt.Errorf("bench: %d unclassified client errors (first: %s)", len(r.Unclassified), r.Unclassified[0])
-	}
-	return nil
+// stopNode shuts a booted node down gracefully: runtime, storage, then
+// its transport.
+func stopNode(node *siloboot.Node) {
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	_ = node.Runtime.Shutdown(ctx)
+	_ = node.Drain(ctx)
+	_ = node.TCP.Close()
 }

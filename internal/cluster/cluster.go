@@ -1,219 +1,32 @@
-// Package cluster maintains silo membership: which silos exist, which are
-// alive, and when a silo should be declared suspect or dead.
-//
-// Membership state lives in the systemstore (the paper's RDS analog), so
-// every silo sees the same table. Each silo runs a heartbeat loop that
-// refreshes its own row and a failure detector that ages out peers whose
-// heartbeats stop. View changes are delivered to subscribers — the runtime
-// uses them to evict a dead silo's directory registrations so its actors
-// can re-activate elsewhere.
+// Package cluster defines the membership surface the runtime consumes:
+// which silos are active, and the events fired when a silo's status
+// changes. The live provider is the SWIM agent in internal/gossip; a
+// StaticView serves fixed silo sets, and a FilteredView layers a health
+// veto over either. Subscribers react to view changes — the runtime uses
+// them to evict a dead silo's directory registrations so its actors can
+// re-activate elsewhere.
 package cluster
 
-import (
-	"context"
-	"errors"
-	"sort"
-	"sync"
-	"time"
+import "sort"
 
-	"aodb/internal/clock"
-	"aodb/internal/systemstore"
+// SiloStatus is the lifecycle state of a silo in a membership view.
+type SiloStatus string
+
+// Silo lifecycle states, in normal progression order.
+const (
+	StatusActive  SiloStatus = "active"
+	StatusSuspect SiloStatus = "suspect"
+	StatusDead    SiloStatus = "dead"
 )
-
-// Config configures a silo's membership agent.
-type Config struct {
-	// Name is the silo's unique name; Address its transport address.
-	Name    string
-	Address string
-	// HeartbeatEvery is the heartbeat refresh period (default 1s).
-	HeartbeatEvery time.Duration
-	// SuspectAfter marks a peer suspect when its heartbeat is older than
-	// this (default 3s). DeadAfter declares it dead (default 10s).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// Clock defaults to the real clock.
-	Clock clock.Clock
-}
-
-func (c *Config) fill() error {
-	if c.Name == "" {
-		return errors.New("cluster: config needs a silo name")
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * time.Second
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * time.Second
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		return errors.New("cluster: DeadAfter must be >= SuspectAfter")
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real()
-	}
-	return nil
-}
 
 // Event describes a membership view change.
 type Event struct {
 	Silo   string
-	Status systemstore.SiloStatus
-}
-
-// Membership is one silo's view of and participation in the cluster.
-type Membership struct {
-	cfg   Config
-	store *systemstore.Store
-
-	mu       sync.Mutex
-	view     []string // active silo names, sorted
-	subs     []func(Event)
-	stop     chan struct{}
-	stopped  sync.WaitGroup
-	started  bool
-	lastSeen map[string]systemstore.SiloStatus
-}
-
-// New creates a membership agent; call Join to enter the cluster.
-func New(cfg Config, store *systemstore.Store) (*Membership, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	return &Membership{cfg: cfg, store: store, lastSeen: map[string]systemstore.SiloStatus{}}, nil
-}
-
-// Join announces this silo, marks it active, and starts the heartbeat and
-// failure-detection loops.
-func (m *Membership) Join(ctx context.Context) error {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		return errors.New("cluster: already joined")
-	}
-	m.started = true
-	m.stop = make(chan struct{})
-	m.mu.Unlock()
-
-	if _, err := m.store.Announce(ctx, systemstore.SiloEntry{
-		Name:    m.cfg.Name,
-		Address: m.cfg.Address,
-		Status:  systemstore.StatusActive,
-	}); err != nil {
-		return err
-	}
-	if err := m.refreshView(ctx); err != nil {
-		return err
-	}
-	m.stopped.Add(1)
-	go m.loop()
-	return nil
-}
-
-// Leave marks this silo dead and stops its loops.
-func (m *Membership) Leave(ctx context.Context) error {
-	m.mu.Lock()
-	if !m.started {
-		m.mu.Unlock()
-		return nil
-	}
-	m.started = false
-	close(m.stop)
-	m.mu.Unlock()
-	m.stopped.Wait()
-	return m.store.SetStatus(ctx, m.cfg.Name, systemstore.StatusDead)
-}
-
-// View returns the sorted names of currently active silos.
-func (m *Membership) View() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.view...)
-}
-
-// Subscribe registers fn to be called (from the membership loop goroutine)
-// whenever a silo's status changes.
-func (m *Membership) Subscribe(fn func(Event)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, fn)
-}
-
-func (m *Membership) loop() {
-	defer m.stopped.Done()
-	t := m.cfg.Clock.NewTicker(m.cfg.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-t.C():
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.HeartbeatEvery)
-			_ = m.store.Heartbeat(ctx, m.cfg.Name)
-			m.detectFailures(ctx)
-			_ = m.refreshView(ctx)
-			cancel()
-		}
-	}
-}
-
-// detectFailures ages peers out based on heartbeat staleness.
-func (m *Membership) detectFailures(ctx context.Context) {
-	members, err := m.store.Members(ctx)
-	if err != nil {
-		return
-	}
-	now := m.cfg.Clock.Now()
-	for _, e := range members {
-		if e.Name == m.cfg.Name || e.Status == systemstore.StatusDead {
-			continue
-		}
-		age := now.Sub(e.LastHeartbeat)
-		switch {
-		case age > m.cfg.DeadAfter:
-			_ = m.store.SetStatus(ctx, e.Name, systemstore.StatusDead)
-		case age > m.cfg.SuspectAfter && e.Status == systemstore.StatusActive:
-			_ = m.store.SetStatus(ctx, e.Name, systemstore.StatusSuspect)
-		}
-	}
-}
-
-// refreshView recomputes the active set and fires subscriber events for
-// every status transition observed since the previous refresh.
-func (m *Membership) refreshView(ctx context.Context) error {
-	members, err := m.store.Members(ctx)
-	if err != nil {
-		return err
-	}
-	var active []string
-	var events []Event
-	m.mu.Lock()
-	for _, e := range members {
-		if e.Status == systemstore.StatusActive {
-			active = append(active, e.Name)
-		}
-		if prev, ok := m.lastSeen[e.Name]; !ok || prev != e.Status {
-			m.lastSeen[e.Name] = e.Status
-			events = append(events, Event{Silo: e.Name, Status: e.Status})
-		}
-	}
-	sort.Strings(active)
-	m.view = active
-	subs := make([]func(Event), len(m.subs))
-	copy(subs, m.subs)
-	m.mu.Unlock()
-	for _, ev := range events {
-		for _, fn := range subs {
-			fn(ev)
-		}
-	}
-	return nil
+	Status SiloStatus
 }
 
 // StaticView is a minimal membership provider for single-process setups
-// that do not need heartbeats: the silo set is fixed at construction.
+// that do not need failure detection: the silo set is fixed at construction.
 type StaticView struct {
 	silos []string
 }
@@ -233,17 +46,17 @@ func (s *StaticView) View() []string { return append([]string(nil), s.silos...) 
 // static or gossip-fed view through the identical subscription path.
 func (s *StaticView) Subscribe(func(Event)) {}
 
-// Viewer supplies an active silo set; Membership and StaticView both
-// satisfy it, as does core's runtime-internal list.
+// Viewer supplies an active silo set; the gossip agent and StaticView
+// both satisfy it, as does core's runtime-internal list.
 type Viewer interface {
 	View() []string
 }
 
 // Provider is the full membership surface consumers wire against: a live
-// silo view plus change notifications. The heartbeat Membership, the
-// gossip agent, StaticView (events never fire), and FilteredView (events
-// delegate to the base) all satisfy it, so call sites select a provider
-// once at boot and never branch again.
+// silo view plus change notifications. The gossip agent, StaticView
+// (events never fire), and FilteredView (events delegate to the base) all
+// satisfy it, so call sites select a provider once at boot and never
+// branch again.
 type Provider interface {
 	Viewer
 	Subscribe(fn func(Event))

@@ -456,3 +456,35 @@ func TestReminderSurvivesSiloCrash(t *testing.T) {
 	// The reminder must keep beating on the surviving silo.
 	waitTicks(before + 2)
 }
+
+// TestDeliveryRacingCrashIsTransient: a delivery that the transport
+// handed to a silo just before CrashSilo unplugged it reaches a closing
+// silo. It must fail transient, like the work the crash interrupted, so
+// the caller re-routes; only a drained (shut-down) silo answers
+// ErrShutdown.
+func TestDeliveryRacingCrashIsTransient(t *testing.T) {
+	rt := newTestRuntime(t, Config{})
+	registerCounter(t, rt)
+	crashed, err := rt.AddSilo("s1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addSilo(t, rt, "s2")
+	if err := rt.CrashSilo("s1"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = crashed.resolve(context.Background(), ID{"Counter", "late"})
+	if !Transient(err) || errors.Is(err, ErrShutdown) {
+		t.Fatalf("delivery to a crashed silo: %v, want transient", err)
+	}
+
+	drained, _ := rt.Silo("s2")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drained.resolve(context.Background(), ID{"Counter", "late"}); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("delivery to a drained silo: %v, want ErrShutdown", err)
+	}
+}

@@ -30,6 +30,7 @@ type Silo struct {
 	mu      sync.Mutex
 	catalog map[ID]*activation
 	closing bool
+	crashed bool // closing by crashAll, not by a drain
 	// moved records actors handed off to another silo: calls landing here
 	// are redirected instead of re-activating locally. Entries expire
 	// (pruned by the collector) once cluster views have converged on the
@@ -153,8 +154,9 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 	for {
 		s.mu.Lock()
 		if s.closing {
+			err := s.closedErr()
 			s.mu.Unlock()
-			return nil, ErrShutdown
+			return nil, err
 		}
 		if act, ok := s.catalog[id]; ok {
 			s.mu.Unlock()
@@ -198,9 +200,10 @@ func (s *Silo) resolve(ctx context.Context, id ID) (*activation, error) {
 		act := newActivation(id, key, s, cfg, reg)
 		s.mu.Lock()
 		if s.closing {
+			err := s.closedErr()
 			s.mu.Unlock()
 			s.rt.directory.Unregister(reg)
-			return nil, ErrShutdown
+			return nil, err
 		}
 		s.catalog[id] = act
 		s.mu.Unlock()
@@ -267,6 +270,7 @@ func (s *Silo) collectIdle() {
 func (s *Silo) crashAll() {
 	s.mu.Lock()
 	s.closing = true
+	s.crashed = true
 	acts := make([]*activation, 0, len(s.catalog))
 	for _, a := range s.catalog {
 		acts = append(acts, a)
@@ -276,6 +280,17 @@ func (s *Silo) crashAll() {
 		a.crashed.Store(true)
 		a.box.close()
 	}
+}
+
+// closedErr is what a delivery that reaches the silo after it began
+// closing gets (s.mu held). A crash fails it transient, like the work it
+// interrupted, so the caller re-routes to a live silo; a drain means the
+// runtime is shutting down.
+func (s *Silo) closedErr() error {
+	if s.crashed {
+		return fmt.Errorf("core: silo %s crashed: %w", s.name, ErrTransient)
+	}
+	return ErrShutdown
 }
 
 // drainAll synchronously deactivates every activation (shutdown path).

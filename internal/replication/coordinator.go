@@ -499,10 +499,19 @@ func (c *Coordinator) writeQuorum(ctx context.Context, key string, env Envelope)
 		err error
 	}
 	results := make(chan res, len(targets))
-	for _, t := range targets {
+	for i, t := range targets {
 		if !c.alive(t.silo) {
 			// Known-dead home: skip the timeout, go straight to handoff.
 			results <- res{t: t, err: &transport.UnreachableError{Node: t.silo, Err: errors.New("replication: vetoed by alive check")}}
+			continue
+		}
+		if i == len(targets)-1 {
+			// The loop below waits for every target anyway, so the last
+			// one runs on this goroutine: an N=1 write (the local fast
+			// path) then pays no goroutine hop, which was most of its
+			// cost over a bare durable put.
+			out, err := c.applyTo(ctx, t.silo, key, enc)
+			results <- res{t: t, out: out, err: err}
 			continue
 		}
 		go func(t writeTarget) {

@@ -25,7 +25,6 @@ import (
 	"aodb/internal/placement"
 	"aodb/internal/rebalance"
 	"aodb/internal/replication"
-	"aodb/internal/systemstore"
 	"aodb/internal/telemetry"
 	"aodb/internal/transport"
 )
@@ -348,18 +347,18 @@ func Start(opts Options) (*Node, error) {
 		agent.Subscribe(func(e cluster.Event) {
 			if jr := opts.Journal; jr.Enabled() {
 				switch e.Status {
-				case systemstore.StatusActive:
+				case cluster.StatusActive:
 					jr.Record(journal.MemberJoin, "", 0, "member="+e.Silo)
-				case systemstore.StatusSuspect:
+				case cluster.StatusSuspect:
 					jr.Record(journal.MemberSuspect, "", 0, "member="+e.Silo)
-				case systemstore.StatusDead:
+				case cluster.StatusDead:
 					// MemberDead is anomalous: recording it also freezes a
 					// ring capture, so the survivors persist the window
 					// around a crash even though the crashed silo cannot.
 					jr.Record(journal.MemberDead, "", 0, "member="+e.Silo)
 				}
 			}
-			if e.Status == systemstore.StatusDead {
+			if e.Status == cluster.StatusDead {
 				rt.Directory().EvictSilo(e.Silo)
 			}
 			if coord != nil {

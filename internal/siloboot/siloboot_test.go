@@ -3,9 +3,11 @@ package siloboot
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aodb/internal/cluster"
 	"aodb/internal/codec"
 	"aodb/internal/core"
 	"aodb/internal/kvstore"
@@ -167,6 +169,93 @@ func TestGossipBootAndElasticJoin(t *testing.T) {
 				t.Logf("%s replica read via %s: %q v=%v err=%v", id, n.Name, data, ver, lerr)
 			}
 			t.Fatalf("%s state = %v, want %d", id, v, i+1)
+		}
+	}
+}
+
+// TestGossipDeathFailsActorsOver is the failover half of the membership
+// control loop: a silo that dies without a graceful Leave is declared
+// Dead by the survivors' gossip agents, that event evicts the dead
+// silo's directory registrations, and its actors re-activate on a
+// survivor with their write-through state.
+func TestGossipDeathFailsActorsOver(t *testing.T) {
+	n1 := startSilo(t, "silo-1", "silo-1,silo-2", "", "")
+	addr1 := n1.TCP.Addr()
+	n2 := startSilo(t, "silo-2", "silo-1,silo-2",
+		"silo-1="+addr1, "silo-1="+addr1)
+	n3 := startSilo(t, "silo-3", "silo-3",
+		"silo-1="+addr1, "silo-1="+addr1)
+	survivors := []*Node{n1, n2}
+	for _, n := range []*Node{n1, n2, n3} {
+		n := n
+		waitFor(t, "three-silo view on "+n.Name, func() bool { return len(n.Gossip.View()) == 3 })
+	}
+	ctx := context.Background()
+	waitFor(t, "replica stores to finish bootstrapping", func() bool {
+		_, err := n1.Runtime.Call(ctx, core.ID{Kind: "Tick", Key: "probe@0"}, readMsg{})
+		return err == nil
+	})
+
+	// Activate an actor on silo-3 with a quorum-persisted tick.
+	var victim core.ID
+	for i := 0; victim.Key == "" && i < 64; i++ {
+		id := core.ID{Kind: "Tick", Key: fmt.Sprintf("f%d@%d", i, i)}
+		if _, err := n1.Runtime.Call(ctx, id, tickMsg{N: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if reg, ok := n3.Runtime.Directory().Lookup(id.String()); ok && reg.Silo == "silo-3" {
+			victim = id
+		}
+	}
+	if victim.Key == "" {
+		t.Fatal("no actor placed on silo-3")
+	}
+	// Each process's directory holds only its own silo's activations, so
+	// give the survivors a route to the victim on silo-3, as a directory
+	// shared by several silos would hold it. Only the Dead event can
+	// remove it before the next call to the victim.
+	for _, n := range survivors {
+		if _, err := n.Runtime.Directory().Register(victim.String(), "silo-3"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Subscribers run in registration order, so by the time this one sees
+	// silo-3 Dead, the boot-time subscriber has already handled it.
+	var dead [2]atomic.Bool
+	for i, n := range survivors {
+		i := i
+		n.Gossip.Subscribe(func(e cluster.Event) {
+			if e.Silo == "silo-3" && e.Status == cluster.StatusDead {
+				dead[i].Store(true)
+			}
+		})
+	}
+
+	// silo-3 dies abruptly: its TCP endpoint closes, with no Leave and
+	// no Drain, so the survivors learn of it only by failed probes.
+	if err := n3.TCP.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range survivors {
+		waitFor(t, "silo-3 declared dead by "+n.Name, dead[i].Load)
+		if c := n.Runtime.Directory().CountBySilo()["silo-3"]; c != 0 {
+			t.Fatalf("%s still routes %d actors to dead silo-3", n.Name, c)
+		}
+	}
+
+	// The victim re-activates on a survivor with its acked state.
+	v, err := n1.Runtime.Call(ctx, victim, readMsg{})
+	if err != nil {
+		t.Fatalf("%s after silo-3 death: %v", victim, err)
+	}
+	if v.(int) != 7 {
+		t.Fatalf("%s state = %v after failover, want 7", victim, v)
+	}
+	reg, ok := n1.Runtime.Directory().Lookup(victim.String())
+	if !ok || reg.Silo != "silo-1" {
+		if reg2, ok2 := n2.Runtime.Directory().Lookup(victim.String()); !ok2 || reg2.Silo != "silo-2" {
+			t.Fatalf("%s not re-activated on a survivor: silo-1 %+v %v, silo-2 %+v %v", victim, reg, ok, reg2, ok2)
 		}
 	}
 }

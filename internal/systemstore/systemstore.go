@@ -2,11 +2,10 @@
 // the Amazon RDS instance the paper uses for "Orleans system storage, which
 // keeps track of silo instances, reminders, and general system state".
 //
-// It layers two tables on the kvstore: a membership table holding one row
-// per silo with its status and last heartbeat, and a reminder table holding
-// persistent timers that must fire even when their target actor is not
-// activated. Rows are JSON-encoded; the conditional-put support of the
-// kvstore gives the compare-and-swap semantics membership changes need.
+// Silo membership is gossiped (internal/gossip), so the one table kept
+// here is the reminder table: persistent timers that must fire even when
+// their target actor is not activated. Rows are JSON-encoded on the
+// kvstore.
 package systemstore
 
 import (
@@ -20,26 +19,6 @@ import (
 	"aodb/internal/kvstore"
 )
 
-// SiloStatus is the lifecycle state of a silo in the membership table.
-type SiloStatus string
-
-// Silo lifecycle states, in normal progression order.
-const (
-	StatusJoining SiloStatus = "joining"
-	StatusActive  SiloStatus = "active"
-	StatusSuspect SiloStatus = "suspect"
-	StatusDead    SiloStatus = "dead"
-)
-
-// SiloEntry is one membership table row.
-type SiloEntry struct {
-	Name          string
-	Address       string
-	Status        SiloStatus
-	LastHeartbeat time.Time
-	Generation    int64 // bumped on each re-join of the same name
-}
-
 // Reminder is a persistent timer registration. The runtime re-activates
 // Target and delivers a reminder message every Period, starting at NextDue.
 type Reminder struct {
@@ -51,160 +30,22 @@ type Reminder struct {
 
 func reminderKey(target, name string) string { return target + "|" + name }
 
-// ErrStale reports a lost compare-and-swap race on a membership row.
-var ErrStale = errors.New("systemstore: stale membership update")
-
-// Store provides membership and reminder persistence.
+// Store provides reminder persistence.
 type Store struct {
-	members   *kvstore.Table
 	reminders *kvstore.Table
 	clk       clock.Clock
 }
 
-// New creates (or reopens) the system tables inside kv.
+// New creates (or reopens) the reminder table inside kv.
 func New(kv *kvstore.Store, clk clock.Clock) (*Store, error) {
 	if clk == nil {
 		clk = clock.Real()
-	}
-	members, err := kv.EnsureTable("system.membership", kvstore.Throughput{})
-	if err != nil {
-		return nil, err
 	}
 	reminders, err := kv.EnsureTable("system.reminders", kvstore.Throughput{})
 	if err != nil {
 		return nil, err
 	}
-	return &Store{members: members, reminders: reminders, clk: clk}, nil
-}
-
-// Announce inserts or replaces a silo's membership row, bumping its
-// generation if the silo name was seen before.
-func (s *Store) Announce(ctx context.Context, entry SiloEntry) (SiloEntry, error) {
-	if entry.Name == "" {
-		return SiloEntry{}, errors.New("systemstore: empty silo name")
-	}
-	for {
-		prev, version, err := s.getMember(ctx, entry.Name)
-		switch {
-		case err == nil:
-			entry.Generation = prev.Generation + 1
-		case errors.Is(err, kvstore.ErrNotFound):
-			entry.Generation = 1
-			version = 0
-		default:
-			return SiloEntry{}, err
-		}
-		if entry.Status == "" {
-			entry.Status = StatusJoining
-		}
-		if entry.LastHeartbeat.IsZero() {
-			entry.LastHeartbeat = s.clk.Now()
-		}
-		if err := s.putMember(ctx, entry, version); err != nil {
-			if errors.Is(err, kvstore.ErrVersionMismatch) {
-				continue // lost a race with another announcer; retry
-			}
-			return SiloEntry{}, err
-		}
-		return entry, nil
-	}
-}
-
-// Heartbeat refreshes a silo's liveness timestamp and, when the silo was
-// suspect, restores it to active.
-func (s *Store) Heartbeat(ctx context.Context, name string) error {
-	entry, version, err := s.getMember(ctx, name)
-	if err != nil {
-		return err
-	}
-	entry.LastHeartbeat = s.clk.Now()
-	if entry.Status == StatusSuspect {
-		entry.Status = StatusActive
-	}
-	if err := s.putMember(ctx, entry, version); err != nil {
-		if errors.Is(err, kvstore.ErrVersionMismatch) {
-			return ErrStale
-		}
-		return err
-	}
-	return nil
-}
-
-// SetStatus transitions a silo to the given status.
-func (s *Store) SetStatus(ctx context.Context, name string, status SiloStatus) error {
-	entry, version, err := s.getMember(ctx, name)
-	if err != nil {
-		return err
-	}
-	entry.Status = status
-	if err := s.putMember(ctx, entry, version); err != nil {
-		if errors.Is(err, kvstore.ErrVersionMismatch) {
-			return ErrStale
-		}
-		return err
-	}
-	return nil
-}
-
-// Member returns one membership row.
-func (s *Store) Member(ctx context.Context, name string) (SiloEntry, error) {
-	entry, _, err := s.getMember(ctx, name)
-	return entry, err
-}
-
-// Members returns all membership rows, in silo-name order.
-func (s *Store) Members(ctx context.Context) ([]SiloEntry, error) {
-	var out []SiloEntry
-	var decodeErr error
-	err := s.members.Scan(ctx, "", func(it kvstore.Item) bool {
-		var e SiloEntry
-		if err := json.Unmarshal(it.Value, &e); err != nil {
-			decodeErr = fmt.Errorf("systemstore: corrupt membership row %q: %w", it.Key, err)
-			return false
-		}
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, decodeErr
-}
-
-// Active returns the silos currently in active status.
-func (s *Store) Active(ctx context.Context) ([]SiloEntry, error) {
-	all, err := s.Members(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out []SiloEntry
-	for _, e := range all {
-		if e.Status == StatusActive {
-			out = append(out, e)
-		}
-	}
-	return out, nil
-}
-
-func (s *Store) getMember(ctx context.Context, name string) (SiloEntry, int64, error) {
-	it, err := s.members.Get(ctx, name)
-	if err != nil {
-		return SiloEntry{}, 0, err
-	}
-	var e SiloEntry
-	if err := json.Unmarshal(it.Value, &e); err != nil {
-		return SiloEntry{}, 0, fmt.Errorf("systemstore: corrupt membership row %q: %w", name, err)
-	}
-	return e, it.Version, nil
-}
-
-func (s *Store) putMember(ctx context.Context, entry SiloEntry, expectVersion int64) error {
-	data, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	_, err = s.members.PutIf(ctx, entry.Name, data, expectVersion)
-	return err
+	return &Store{reminders: reminders, clk: clk}, nil
 }
 
 // RegisterReminder persists (or replaces) a reminder.
